@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/check.h"
+
 namespace sns {
 
 /// Complete serializable state of an Rng: the xoshiro256** engine words plus
@@ -47,7 +49,9 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~uint64_t{0}; }
 
-  /// Next raw 64-bit value.
+  /// Next raw 64-bit value. Next, NextUint64 and UniformInt are defined
+  /// inline below: the θ-sampler draws one UniformInt per sampled mode
+  /// index, and an out-of-line call per draw costs more than the draw.
   uint64_t operator()() { return Next(); }
   uint64_t Next();
 
@@ -91,10 +95,49 @@ class Rng {
   void RestoreState(const RngState& s);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;
 };
+
+inline uint64_t Rng::Next() {
+  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+  const uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = Rotl(state_[3], 45);
+  return result;
+}
+
+inline uint64_t Rng::NextUint64(uint64_t bound) {
+  SNS_DCHECK(bound > 0);
+  // Lemire's nearly-divisionless method.
+  uint64_t x = Next();
+  __uint128_t m = static_cast<__uint128_t>(x) * bound;
+  uint64_t l = static_cast<uint64_t>(m);
+  if (l < bound) {
+    const uint64_t t = -bound % bound;
+    while (l < t) {
+      x = Next();
+      m = static_cast<__uint128_t>(x) * bound;
+      l = static_cast<uint64_t>(m);
+    }
+  }
+  return static_cast<uint64_t>(m >> 64);
+}
+
+inline int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
+  SNS_DCHECK(lo <= hi);
+  return lo + static_cast<int64_t>(
+                  NextUint64(static_cast<uint64_t>(hi - lo) + 1));
+}
 
 }  // namespace sns
 

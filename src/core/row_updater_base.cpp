@@ -59,7 +59,7 @@ void RowUpdaterBase::BeginEvent(const WindowDelta& delta,
   // more than once, and PrevRow must see exactly one snapshot per row. The
   // inline storage assumes at most TWO distinct time rows per delta (the
   // two slices a slide touches) — a delta spanning more would silently
-  // lose its third snapshot, so fail loudly instead.
+  // lose its third snapshot, so fail loudly instead, in every build type.
   num_time_snaps_ = 0;
   for (const DeltaCell& cell : delta.cells) {
     const int64_t row = cell.index[time_mode_];
@@ -68,8 +68,7 @@ void RowUpdaterBase::BeginEvent(const WindowDelta& delta,
       if (time_snap_row_[static_cast<size_t>(t)] == row) seen = true;
     }
     if (seen) continue;
-    SNS_DCHECK(num_time_snaps_ < 2);
-    if (num_time_snaps_ >= 2) continue;
+    SNS_CHECK(num_time_snaps_ < 2);
     time_snap_row_[static_cast<size_t>(num_time_snaps_)] = row;
     copy_row(time_mode_, row, kMaxTensorModes + num_time_snaps_);
     ++num_time_snaps_;
@@ -95,7 +94,7 @@ bool RowUpdaterBase::GcpUpdateRow(int mode, int64_t row,
     // cells excluded by the sampler) plus the event's delta cells at their
     // live window values.
     SampleSliceCellsInto(window, mode, row, sample_threshold, delta, *rng,
-                         gcp_ws_.cells);
+                         gcp_ws_.cells, ws_.sampler);
     for (const DeltaCell& cell : delta.cells) {
       if (cell.index[mode] != row) continue;
       gcp_ws_.cells.push_back({cell.index, window.Get(cell.index)});
@@ -125,21 +124,6 @@ const double* RowUpdaterBase::PrevRow(int mode, int64_t row,
     return snapshot_values_.data() + mode * snap_stride_;
   }
   return state.model.factor(mode).Row(row);
-}
-
-double RowUpdaterBase::EvaluatePrevModel(const ModeIndex& index,
-                                         const CpdState& state) const {
-  const int modes = state.num_modes();
-  const int64_t rank = state.rank();
-  const double* rows[kMaxTensorModes];
-  for (int m = 0; m < modes; ++m) rows[m] = PrevRow(m, index[m], state);
-  double sum = 0.0;
-  for (int64_t r = 0; r < rank; ++r) {
-    double prod = 1.0;
-    for (int m = 0; m < modes; ++m) prod *= rows[m][r];
-    sum += prod;
-  }
-  return sum;
 }
 
 void RowUpdaterBase::CommitRow(int mode, int64_t row, const double* old_row,
@@ -191,6 +175,113 @@ void RowUpdaterBase::HadamardOfPrevGramsExcept(const CpdState& state,
     }
     HadamardAccumulate(ws.h_prev, ws.u_scratch, *ws.kernels);
   }
+}
+
+namespace {
+
+// Cells whose x̃ one PrevModelBlock call evaluates together.
+constexpr size_t kPrevBlock = 4;
+
+// out[j] = Σ_r Π_m rows[j][m][r] for kPrevBlock cells. Each cell keeps its
+// own accumulator, and its sum runs r = 0…R−1 in order over
+// prod = ((1·b1)·b2)·… exactly as a one-cell loop would; evaluating
+// independent cells side by side only lets their add chains overlap.
+// kModes = 3 drops the exact leading 1·b1; 0 is the runtime-order form.
+template <int kModes>
+void PrevModelBlock(const double* const (&rows)[kPrevBlock][kMaxTensorModes],
+                    int modes, int64_t rank, double (&out)[kPrevBlock]) {
+  double sum[kPrevBlock] = {};
+  for (int64_t r = 0; r < rank; ++r) {
+    for (size_t j = 0; j < kPrevBlock; ++j) {
+      const double* const* cell = rows[j];
+      double prod;
+      if constexpr (kModes == 3) {
+        prod = cell[0][r] * cell[1][r] * cell[2][r];
+      } else {
+        prod = 1.0;
+        for (int m = 0; m < modes; ++m) prod *= cell[m][r];
+      }
+      sum[j] += prod;
+    }
+  }
+  for (size_t j = 0; j < kPrevBlock; ++j) out[j] = sum[j];
+}
+
+}  // namespace
+
+void RowUpdaterBase::SampledRowRhs(int mode, int64_t row,
+                                   const SparseTensor& window,
+                                   const WindowDelta& delta,
+                                   const CpdState& state, int64_t sample_count,
+                                   Rng& rng, UpdateWorkspace& ws) const {
+  // First term: B(m)(row,:) H_prev with H_prev = ∗_{n≠m} U(n), each U(n)
+  // reconstructed from Q(n) and this event's committed-row deltas.
+  HadamardOfPrevGramsExcept(state, mode, ws);
+  RowTimesMatrixPadded(ws.old_row.data(), ws.h_prev, ws.rhs.data(),
+                       *ws.kernels);
+
+  // Residual corrections at θ cells drawn uniformly from the slice grid
+  // (zero cells included — they pull spurious model mass down; delta cells
+  // excluded per footnote 2).
+  SampleSliceCellsInto(window, mode, row, sample_count, delta, rng, ws.samples,
+                       ws.sampler);
+  const int modes = state.num_modes();
+  const int64_t rank = state.rank();
+  // Every sampled cell lies on the slice, so they share this mode's row.
+  const double* slice_row = PrevRow(mode, row, state);
+  const size_t count = ws.samples.size();
+  for (size_t begin = 0; begin < count; begin += kPrevBlock) {
+    const size_t size = std::min(kPrevBlock, count - begin);
+    // A short last block repeats its last cell; the extra sums are unused.
+    const double* rows[kPrevBlock][kMaxTensorModes];
+    for (size_t j = 0; j < kPrevBlock; ++j) {
+      const ModeIndex& index = ws.samples[begin + std::min(j, size - 1)].index;
+      for (int m = 0; m < modes; ++m) {
+        rows[j][m] = m == mode ? slice_row : PrevRow(m, index[m], state);
+      }
+    }
+    double prev[kPrevBlock];
+    if (modes == 3) {
+      PrevModelBlock<3>(rows, modes, rank, prev);
+    } else {
+      PrevModelBlock<0>(rows, modes, rank, prev);
+    }
+    for (size_t j = 0; j < size; ++j) {
+      const SampledCell& cell = ws.samples[begin + j];
+      AccumulateCellRow(state, cell.index, mode, cell.value - prev[j], ws);
+    }
+  }
+
+  // ΔX term.
+  for (const DeltaCell& cell : delta.cells) {
+    if (cell.index[mode] != row) continue;
+    AccumulateCellRow(state, cell.index, mode, cell.delta, ws);
+  }
+}
+
+void RowUpdaterBase::AccumulateCellRow(const CpdState& state,
+                                       const ModeIndex& index, int skip_mode,
+                                       double weight,
+                                       UpdateWorkspace& ws) const {
+  const RankKernelTable& kr = *ws.kernels;
+  if (state.num_modes() == 3) {
+    // The Hadamard row is (1·a)·b = a·b exactly, and fma3's weight·(a·b)
+    // ends in the same multiply-add as axpy(weight, had) on every tier.
+    const int a = skip_mode == 0 ? 1 : 0;
+    const int b = skip_mode == 2 ? 1 : 2;
+    if (state.mixed()) {
+      kr.fma3_f32(weight, state.factors32[static_cast<size_t>(a)].Row(index[a]),
+                  state.factors32[static_cast<size_t>(b)].Row(index[b]),
+                  ws.rhs.data(), ws.padded_rank);
+    } else {
+      kr.fma3(weight, state.model.factor(a).Row(index[a]),
+              state.model.factor(b).Row(index[b]), ws.rhs.data(),
+              ws.padded_rank);
+    }
+    return;
+  }
+  HadamardRowDispatch(state, index, skip_mode, ws.had.data(), ws);
+  kr.axpy(weight, ws.had.data(), ws.rhs.data(), ws.padded_rank);
 }
 
 void RowUpdaterBase::HadamardRowDispatch(const CpdState& state,

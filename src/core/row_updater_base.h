@@ -15,7 +15,14 @@
 //     are being overwritten (needed by the residual corrections
 //     x̄_J = x_J − x̃_J of Eqs. 16/23),
 //   - the per-event UpdateWorkspace and the GramProductCache that hands each
-//     UpdateRow its Hadamard-of-Grams product in O(R²) amortized.
+//     UpdateRow its Hadamard-of-Grams product in O(R²) amortized,
+//   - the θ-sampled right-hand side SNS-RND and SNS+RND share
+//     (SampledRowRhs). Its per-cell work is batched — the two-phase
+//     sampler of core/slice_sampler.h, blocked x̃ evaluation, one fused
+//     kernel call per cell — but the RNG draws and every floating-point
+//     operation keep the order of a one-cell-at-a-time loop, so factors,
+//     Grams and RNG state are bitwise those of that loop (pinned by
+//     tests/core_updaters_test.cpp against a per-cell reference).
 //
 // The steady-state event path performs zero heap allocations (guarded by
 // tests/hot_path_test.cpp).
@@ -70,10 +77,26 @@ class RowUpdaterBase : public EventUpdater {
   /// mode, time-mode snapshots are at most two slots.
   const double* PrevRow(int mode, int64_t row, const CpdState& state) const;
 
-  /// X̃ at one cell using the event-start factors B(m) (λ is 1 for all row
-  /// variants).
-  double EvaluatePrevModel(const ModeIndex& index,
-                           const CpdState& state) const;
+  /// Right-hand side of the θ-sampled row rule shared by SNS-RND (Eq. 16)
+  /// and SNS+RND (Eq. 23), written to ws.rhs:
+  ///   B(m)(row,:)·(∗_{n≠m} U(n)) + Σ_{J∈S} x̄_J·(∗_{n≠m} a(n)_{j_n})
+  ///                               + Σ_{J∈ΔX} Δx_J·(∗_{n≠m} a(n)_{j_n}),
+  /// with S the `sample_count` slice cells SampleSliceCellsInto draws from
+  /// `rng` and x̄_J = x_J − x̃_J, x̃ evaluated under the event-start factors
+  /// B(n) (λ is 1 for all row variants). ws.old_row must hold the row's
+  /// event-start value.
+  ///
+  /// Cost per cell is kept low without changing a single bit of the
+  /// result: x̃ is evaluated for blocks of cells, each cell with its own
+  /// accumulator whose sum still runs r = 0…R−1 in order as
+  /// ((1·b1)·b2)·…; and for 3-mode tensors each cell's Hadamard row and
+  /// axpy fuse into one fma3, exact because (1·a)·b = a·b and every kernel
+  /// tier ends both forms in the same multiply-add. The cells' Hadamard
+  /// terms are still added to ws.rhs one cell at a time, in sample order.
+  void SampledRowRhs(int mode, int64_t row, const SparseTensor& window,
+                     const WindowDelta& delta, const CpdState& state,
+                     int64_t sample_count, Rng& rng,
+                     UpdateWorkspace& ws) const;
 
   /// After writing the new row into state.model, updates Q(mode) (Eq. 13 /
   /// Eqs. 24-25) and, when NeedsPrevGrams(), records the rank-1 delta that
@@ -119,6 +142,12 @@ class RowUpdaterBase : public EventUpdater {
 
  private:
   void BeginEvent(const WindowDelta& delta, const CpdState& state);
+
+  /// ws.rhs += weight · (∗_{n≠skip_mode} a(n)_{index[n]}) over the live
+  /// factors: one fma3 for 3-mode tensors, Hadamard row + axpy otherwise.
+  void AccumulateCellRow(const CpdState& state, const ModeIndex& index,
+                         int skip_mode, double weight,
+                         UpdateWorkspace& ws) const;
 
   UpdateWorkspace ws_;
   GramProductCache gram_cache_;

@@ -26,6 +26,7 @@ void UpdateWorkspace::Prepare(int num_modes, int64_t rank,
   had.Assign(rank, 0.0);
   samples.clear();
   samples.reserve(static_cast<size_t>(sample_capacity));
+  sampler.Reserve(sample_capacity);
 }
 
 }  // namespace sns

@@ -59,6 +59,7 @@ struct UpdateWorkspace {
   AlignedVector solution;  // Solve output before the factor write.
   AlignedVector had;       // Per-entry Hadamard row product.
   std::vector<SampledCell> samples;  // θ-sample output (RND variants).
+  SliceSamplerScratch sampler;       // θ-sampler keys and hashes.
 
  private:
   int num_modes_ = 0;

@@ -22,7 +22,9 @@
 // (P ≡ 0 mod 4, buffers padded with zeros per linalg/simd.h); the P = 0
 // runtime-length instantiations handle arbitrary n with scalar tails —
 // they serve the triangular Cholesky loops, whose row suffixes are
-// unaligned, so every vector access uses unaligned loads/stores.
+// unaligned, so every vector access uses unaligned loads/stores. The
+// scalar tails are compiled only for P = 0 (`if constexpr`): a P > 0
+// instantiation could never reach them.
 
 #include "linalg/codelets/codelet_tables.h"
 
@@ -44,7 +46,9 @@ void Fill(double* dst, double value, int64_t n) {
   const __m256d v = _mm256_set1_pd(value);
   int64_t r = 0;
   for (; r + 4 <= m; r += 4) _mm256_storeu_pd(dst + r, v);
-  for (; r < m; ++r) dst[r] = value;
+  if constexpr (P == 0) {
+    for (; r < m; ++r) dst[r] = value;
+  }
 }
 
 template <int64_t P>
@@ -54,7 +58,9 @@ void Copy(const double* src, double* dst, int64_t n) {
   for (; r + 4 <= m; r += 4) {
     _mm256_storeu_pd(dst + r, _mm256_loadu_pd(src + r));
   }
-  for (; r < m; ++r) dst[r] = src[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) dst[r] = src[r];
+  }
 }
 
 template <int64_t P>
@@ -67,7 +73,9 @@ void Axpy(double alpha, const double* x, double* y, int64_t n) {
         _mm256_fmadd_pd(va, _mm256_loadu_pd(x + r), _mm256_loadu_pd(y + r));
     _mm256_storeu_pd(y + r, vy);
   }
-  for (; r < m; ++r) y[r] += alpha * x[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) y[r] += alpha * x[r];
+  }
 }
 
 template <int64_t P>
@@ -78,7 +86,9 @@ void Mul(const double* a, const double* b, double* out, int64_t n) {
     _mm256_storeu_pd(
         out + r, _mm256_mul_pd(_mm256_loadu_pd(a + r), _mm256_loadu_pd(b + r)));
   }
-  for (; r < m; ++r) out[r] = a[r] * b[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) out[r] = a[r] * b[r];
+  }
 }
 
 template <int64_t P>
@@ -89,7 +99,9 @@ void MulAccum(double* dst, const double* src, int64_t n) {
     _mm256_storeu_pd(dst + r, _mm256_mul_pd(_mm256_loadu_pd(dst + r),
                                             _mm256_loadu_pd(src + r)));
   }
-  for (; r < m; ++r) dst[r] *= src[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) dst[r] *= src[r];
+  }
 }
 
 template <int64_t P>
@@ -103,7 +115,9 @@ void Fma3(double v, const double* a, const double* b, double* out, int64_t n) {
     _mm256_storeu_pd(out + r,
                      _mm256_fmadd_pd(vv, prod, _mm256_loadu_pd(out + r)));
   }
-  for (; r < m; ++r) out[r] += v * (a[r] * b[r]);
+  if constexpr (P == 0) {
+    for (; r < m; ++r) out[r] += v * (a[r] * b[r]);
+  }
 }
 
 template <int64_t P>
@@ -119,7 +133,9 @@ double Dot(const double* a, const double* b, int64_t n) {
   const __m128d pair = _mm_add_pd(_mm256_castpd256_pd128(acc),
                                   _mm256_extractf128_pd(acc, 1));
   double sum = _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
-  for (; r < m; ++r) sum += a[r] * b[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) sum += a[r] * b[r];
+  }
   return sum;
 }
 
@@ -137,7 +153,9 @@ void GramRowDelta(double new_i, const double* new_row, double old_i,
     t = _mm256_fnmadd_pd(vo, _mm256_loadu_pd(old_row + r), t);
     _mm256_storeu_pd(g + r, _mm256_add_pd(_mm256_loadu_pd(g + r), t));
   }
-  for (; r < m; ++r) g[r] += new_i * new_row[r] - old_i * old_row[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) g[r] += new_i * new_row[r] - old_i * old_row[r];
+  }
 }
 
 template <int64_t P>
@@ -151,7 +169,9 @@ void ScaledDiffAccum(double p, const double* new_row, const double* prev_row,
                                     _mm256_loadu_pd(prev_row + r));
     _mm256_storeu_pd(g + r, _mm256_fmadd_pd(vp, d, _mm256_loadu_pd(g + r)));
   }
-  for (; r < m; ++r) g[r] += p * (new_row[r] - prev_row[r]);
+  if constexpr (P == 0) {
+    for (; r < m; ++r) g[r] += p * (new_row[r] - prev_row[r]);
+  }
 }
 
 template <int64_t P>
@@ -162,7 +182,9 @@ void MulAccumF32(double* dst, const float* src, int64_t n) {
     const __m256d wide = _mm256_cvtps_pd(_mm_loadu_ps(src + r));
     _mm256_storeu_pd(dst + r, _mm256_mul_pd(_mm256_loadu_pd(dst + r), wide));
   }
-  for (; r < m; ++r) dst[r] *= static_cast<double>(src[r]);
+  if constexpr (P == 0) {
+    for (; r < m; ++r) dst[r] *= static_cast<double>(src[r]);
+  }
 }
 
 template <int64_t P>
@@ -178,8 +200,10 @@ void Fma3F32(double v, const float* a, const float* b, double* out,
         out + r,
         _mm256_fmadd_pd(vv, _mm256_mul_pd(wa, wb), _mm256_loadu_pd(out + r)));
   }
-  for (; r < m; ++r) {
-    out[r] += v * (static_cast<double>(a[r]) * static_cast<double>(b[r]));
+  if constexpr (P == 0) {
+    for (; r < m; ++r) {
+      out[r] += v * (static_cast<double>(a[r]) * static_cast<double>(b[r]));
+    }
   }
 }
 

@@ -8,7 +8,8 @@
 // Padded ranks are multiples of 4 doubles, not 8, so every kernel runs an
 // 8-wide (512-bit) main loop followed by at most one 4-wide (256-bit) step
 // — e.g. padded rank 20 = 2×8 + 4 — and the P = 0 runtime-length
-// instantiations add a scalar tail for the unaligned Cholesky suffixes.
+// instantiations add a scalar tail for the unaligned Cholesky suffixes
+// (compiled only for P = 0, which alone can reach it).
 // The dot kernel reduces eight partial-sum lanes, so its summation
 // grouping differs from the generic/AVX2 four-lane scheme: dots agree to
 // ulp-level tolerance across tiers, never bitwise (tests pin this).
@@ -37,7 +38,9 @@ void Fill(double* dst, double value, int64_t n) {
     _mm256_storeu_pd(dst + r, _mm512_castpd512_pd256(v8));
     r += 4;
   }
-  for (; r < m; ++r) dst[r] = value;
+  if constexpr (P == 0) {
+    for (; r < m; ++r) dst[r] = value;
+  }
 }
 
 template <int64_t P>
@@ -51,7 +54,9 @@ void Copy(const double* src, double* dst, int64_t n) {
     _mm256_storeu_pd(dst + r, _mm256_loadu_pd(src + r));
     r += 4;
   }
-  for (; r < m; ++r) dst[r] = src[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) dst[r] = src[r];
+  }
 }
 
 template <int64_t P>
@@ -69,7 +74,9 @@ void Axpy(double alpha, const double* x, double* y, int64_t n) {
                                             _mm256_loadu_pd(y + r)));
     r += 4;
   }
-  for (; r < m; ++r) y[r] += alpha * x[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) y[r] += alpha * x[r];
+  }
 }
 
 template <int64_t P>
@@ -85,7 +92,9 @@ void Mul(const double* a, const double* b, double* out, int64_t n) {
                                             _mm256_loadu_pd(b + r)));
     r += 4;
   }
-  for (; r < m; ++r) out[r] = a[r] * b[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) out[r] = a[r] * b[r];
+  }
 }
 
 template <int64_t P>
@@ -101,7 +110,9 @@ void MulAccum(double* dst, const double* src, int64_t n) {
                                             _mm256_loadu_pd(src + r)));
     r += 4;
   }
-  for (; r < m; ++r) dst[r] *= src[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) dst[r] *= src[r];
+  }
 }
 
 template <int64_t P>
@@ -122,7 +133,9 @@ void Fma3(double v, const double* a, const double* b, double* out, int64_t n) {
                                               prod, _mm256_loadu_pd(out + r)));
     r += 4;
   }
-  for (; r < m; ++r) out[r] += v * (a[r] * b[r]);
+  if constexpr (P == 0) {
+    for (; r < m; ++r) out[r] += v * (a[r] * b[r]);
+  }
 }
 
 template <int64_t P>
@@ -142,7 +155,9 @@ double Dot(const double* a, const double* b, int64_t n) {
     sum += _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
     r += 4;
   }
-  for (; r < m; ++r) sum += a[r] * b[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) sum += a[r] * b[r];
+  }
   return sum;
 }
 
@@ -166,7 +181,9 @@ void GramRowDelta(double new_i, const double* new_row, double old_i,
     _mm256_storeu_pd(g + r, _mm256_add_pd(_mm256_loadu_pd(g + r), t));
     r += 4;
   }
-  for (; r < m; ++r) g[r] += new_i * new_row[r] - old_i * old_row[r];
+  if constexpr (P == 0) {
+    for (; r < m; ++r) g[r] += new_i * new_row[r] - old_i * old_row[r];
+  }
 }
 
 template <int64_t P>
@@ -187,7 +204,9 @@ void ScaledDiffAccum(double p, const double* new_row, const double* prev_row,
                                             _mm256_loadu_pd(g + r)));
     r += 4;
   }
-  for (; r < m; ++r) g[r] += p * (new_row[r] - prev_row[r]);
+  if constexpr (P == 0) {
+    for (; r < m; ++r) g[r] += p * (new_row[r] - prev_row[r]);
+  }
 }
 
 template <int64_t P>
@@ -203,7 +222,9 @@ void MulAccumF32(double* dst, const float* src, int64_t n) {
     _mm256_storeu_pd(dst + r, _mm256_mul_pd(_mm256_loadu_pd(dst + r), wide));
     r += 4;
   }
-  for (; r < m; ++r) dst[r] *= static_cast<double>(src[r]);
+  if constexpr (P == 0) {
+    for (; r < m; ++r) dst[r] *= static_cast<double>(src[r]);
+  }
 }
 
 template <int64_t P>
@@ -227,8 +248,10 @@ void Fma3F32(double v, const float* a, const float* b, double* out,
                                      _mm256_loadu_pd(out + r)));
     r += 4;
   }
-  for (; r < m; ++r) {
-    out[r] += v * (static_cast<double>(a[r]) * static_cast<double>(b[r]));
+  if constexpr (P == 0) {
+    for (; r < m; ++r) {
+      out[r] += v * (static_cast<double>(a[r]) * static_cast<double>(b[r]));
+    }
   }
 }
 

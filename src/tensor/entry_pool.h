@@ -74,8 +74,28 @@ class EntryPool {
 
   /// Id of the entry at `key`, or kInvalidId when absent. O(1) expected.
   uint32_t Find(const ModeIndex& key) const {
+    return FindHashed(key, Hash(key));
+  }
+
+  /// The coordinate hash the index is keyed by. Batched lookups hash each
+  /// key once, PrefetchHome every key, then FindHashed each: the home-slot
+  /// cache misses of the batch overlap instead of serializing.
+  static uint64_t Hash(const ModeIndex& key) { return ModeIndexHash{}(key); }
+
+  /// Starts loading the home slot of a key whose Hash() is `hash`. A hint
+  /// only: no probe is performed or counted.
+  void PrefetchHome(uint64_t hash) const {
+#if defined(__GNUC__)
+    __builtin_prefetch(&table_[hash & (table_.size() - 1)]);
+#else
+    (void)hash;
+#endif
+  }
+
+  /// Find(key) given hash == Hash(key); counts one probe sequence like Find.
+  uint32_t FindHashed(const ModeIndex& key, uint64_t hash) const {
     ++hash_lookups_;
-    return table_[FindSlot(key)];
+    return table_[FindSlot(key, hash)];
   }
 
   /// Single-probe upsert: returns (id, inserted). When `key` is absent a
@@ -135,13 +155,16 @@ class EntryPool {
   static constexpr size_t kMinTableCapacity = 16;
 
   size_t Home(const ModeIndex& key, size_t mask) const {
-    return ModeIndexHash{}(key) & mask;
+    return Hash(key) & mask;
   }
 
   /// Slot holding `key`'s id, or the first empty slot of its probe chain.
   size_t FindSlot(const ModeIndex& key) const {
+    return FindSlot(key, Hash(key));
+  }
+  size_t FindSlot(const ModeIndex& key, uint64_t hash) const {
     const size_t mask = table_.size() - 1;
-    size_t slot = Home(key, mask);
+    size_t slot = hash & mask;
     while (table_[slot] != kInvalidId && !(coords_[table_[slot]] == key)) {
       slot = (slot + 1) & mask;
     }

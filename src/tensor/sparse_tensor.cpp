@@ -22,12 +22,6 @@ void SparseTensor::Reserve(int64_t expected_nnz) {
   if (expected_nnz > 0) pool_.Reserve(static_cast<size_t>(expected_nnz));
 }
 
-double SparseTensor::Get(const ModeIndex& index) const {
-  SNS_DCHECK(IndexInBounds(index));
-  const uint32_t id = pool_.Find(index);
-  return id == EntryPool::kInvalidId ? 0.0 : pool_.value(id);
-}
-
 double SparseTensor::Add(const ModeIndex& index, double delta) {
   SNS_DCHECK(IndexInBounds(index));
   const auto [id, inserted] = pool_.FindOrInsert(index, delta);

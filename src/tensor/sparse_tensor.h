@@ -61,7 +61,23 @@ class SparseTensor {
   int64_t nnz() const { return static_cast<int64_t>(pool_.size()); }
 
   /// Value at a cell (0.0 when absent).
-  double Get(const ModeIndex& index) const;
+  double Get(const ModeIndex& index) const {
+    return GetHashed(index, CellHash(index));
+  }
+
+  /// Two-step point lookup for a batch of cells: compute each cell's
+  /// CellHash once, PrefetchCell all of them, then GetHashed each. Same
+  /// values and the same hash_lookup_count() as one Get per cell, with the
+  /// index's cache misses overlapped across the batch.
+  static uint64_t CellHash(const ModeIndex& index) {
+    return EntryPool::Hash(index);
+  }
+  void PrefetchCell(uint64_t hash) const { pool_.PrefetchHome(hash); }
+  double GetHashed(const ModeIndex& index, uint64_t hash) const {
+    SNS_DCHECK(IndexInBounds(index));
+    const uint32_t id = pool_.FindHashed(index, hash);
+    return id == EntryPool::kInvalidId ? 0.0 : pool_.value(id);
+  }
 
   /// Adds `delta` to a cell, creating or erasing the entry as needed.
   /// Returns the new value of the cell.

@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
+#include "test_scratch_dir.h"
 
 namespace sns {
 namespace {
@@ -179,7 +180,7 @@ TEST(CsvTest, ParseDouble) {
 }
 
 TEST(CsvTest, RoundTripFile) {
-  const std::string path = ::testing::TempDir() + "/sns_csv_test.csv";
+  const std::string path = TestScratchDir() + "/sns_csv_test.csv";
   std::remove(path.c_str());
   ASSERT_TRUE(WriteDelimitedFile(path, ',', {{"1", "2", "3.5"}, {"4", "5", "6"}})
                   .ok());

@@ -1,6 +1,8 @@
 // Correctness tests for the five SliceNStitch updaters (Algorithms 2-5).
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include "core/sns_vec.h"
 #include "core/sns_vec_plus.h"
 #include "tensor/mttkrp.h"
+#include "reference_slice_sampler.h"
 
 namespace sns {
 namespace {
@@ -390,6 +393,214 @@ TEST(SnsRndPlusTest, GramsAndBoundsHoldUnderSampling) {
       ASSERT_LE(state.model.factor(m).MaxAbs(), 50.0 + 1e-9);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// RowUpdaterBase fails loudly — in every build type — on a delta whose
+// cells span a third time row: its inline snapshot storage holds two.
+
+TEST(RowUpdaterBaseDeathTest, ThirdTimeRowSnapshotFailsLoudly) {
+  Rng rng(41);
+  const int w_size = 4;
+  const std::vector<int64_t> dims = {3, 3, w_size};
+  CpdState state(KruskalModel::Random(dims, 2, rng));
+  SparseTensor window(dims);
+  WindowDelta delta;
+  delta.kind = EventKind::kSlide;
+  delta.w = 1;
+  delta.tuple = Tuple{{1, 2}, 1.0, 0};
+  for (int32_t t : {3, 2, 1}) {
+    const ModeIndex cell = ModeIndex{1, 2}.WithAppended(t);
+    window.Add(cell, 1.0);
+    delta.cells.push_back({cell, 1.0});
+  }
+  SnsVecUpdater updater;
+  EXPECT_DEATH(updater.OnEvent(window, delta, state), "num_time_snaps_ < 2");
+}
+
+// ---------------------------------------------------------------------------
+// Differential pin of the shared θ-sampled kernel (RowUpdaterBase::
+// SampledRowRhs): a test-local updater that builds the sampled right-hand
+// side one cell at a time — the reference sampler, x̃ by a per-cell loop,
+// then Hadamard row + axpy per cell — must leave factors, Grams and the RNG
+// state of SNS-RND and SNS+RND bitwise unchanged, at every kernel tier the
+// host runs, in float64 and mixed precision.
+
+class PerCellRndReference : public RowUpdaterBase {
+ public:
+  // clip_bound = 0 solves like SNS-RND; > 0 runs SNS+RND's clipped
+  // coordinate descent.
+  PerCellRndReference(int64_t theta, double clip_bound, uint64_t seed)
+      : RowUpdaterBase(theta + 4),
+        theta_(theta),
+        clip_bound_(clip_bound),
+        rng_(seed) {}
+
+  std::string_view name() const override { return "per-cell reference"; }
+  Rng* MutableRng() override { return &rng_; }
+
+ protected:
+  bool NeedsPrevGrams() const override { return true; }
+
+  void UpdateRow(int mode, int64_t row, const SparseTensor& window,
+                 const WindowDelta& delta, CpdState& state,
+                 UpdateWorkspace& ws) override {
+    Matrix& factor = state.model.factor(mode);
+    const RankKernelTable& kr = *ws.kernels;
+    const int64_t padded = ws.padded_rank;
+    kr.copy(factor.Row(row), ws.old_row.data(), padded);
+    if (window.Degree(mode, row) <= theta_) {
+      MttkrpRowDispatch(window, state, mode, row, ws.rhs.data(),
+                        ws.had.data(), ws);
+    } else {
+      HadamardOfPrevGramsExcept(state, mode, ws);
+      RowTimesMatrixPadded(ws.old_row.data(), ws.h_prev, ws.rhs.data(), kr);
+      for (const SampledCell& cell :
+           ReferenceSampleSliceCells(window, mode, row, theta_, delta, rng_)) {
+        double prev = 0.0;
+        for (int64_t r = 0; r < state.rank(); ++r) {
+          double prod = 1.0;
+          for (int m = 0; m < state.num_modes(); ++m) {
+            prod *= PrevRow(m, cell.index[m], state)[r];
+          }
+          prev += prod;
+        }
+        HadamardRowDispatch(state, cell.index, mode, ws.had.data(), ws);
+        kr.axpy(cell.value - prev, ws.had.data(), ws.rhs.data(), padded);
+      }
+      for (const DeltaCell& cell : delta.cells) {
+        if (cell.index[mode] != row) continue;
+        HadamardRowDispatch(state, cell.index, mode, ws.had.data(), ws);
+        kr.axpy(cell.delta, ws.had.data(), ws.rhs.data(), padded);
+      }
+    }
+    if (clip_bound_ > 0.0) {
+      CoordinateDescentRow(factor.Row(row), state.rank(), ws.h, ws.rhs.data(),
+                           -clip_bound_, clip_bound_, kr);
+    } else {
+      ws.solver.Factorize(ws.h);
+      ws.solver.Solve(ws.rhs.data(), ws.solution.data());
+      kr.copy(ws.solution.data(), factor.Row(row), padded);
+    }
+    CommitRow(mode, row, ws.old_row.data(), state);
+  }
+
+ private:
+  int64_t theta_;
+  double clip_bound_;
+  Rng rng_;
+};
+
+bool BitwiseEqual(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    if (std::memcmp(a.Row(i), b.Row(i),
+                    static_cast<size_t>(a.cols()) * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Arrivals (w = 0) and slides (w ≥ 1) of random tuples over a sparse
+// window whose slices outgrow θ = 3, fed to SNS-RND or SNS+RND and to the
+// per-cell reference; compares every event.
+void ExpectSampledKernelMatchesPerCellLoop(double clip_bound,
+                                           std::vector<int64_t> dims,
+                                           int64_t rank, KernelTier tier,
+                                           FactorPrecision precision,
+                                           uint64_t seed) {
+  constexpr int64_t kTheta = 3;
+  Rng rng(seed);
+  const int modes = static_cast<int>(dims.size());
+  const int w_size = static_cast<int>(dims.back());
+  const KruskalModel model = KruskalModel::Random(dims, rank, rng);
+  CpdState real(model, tier);
+  CpdState ref(model, tier);
+  real.SetFactorPrecision(precision);
+  ref.SetFactorPrecision(precision);
+  std::unique_ptr<EventUpdater> updater;
+  if (clip_bound > 0.0) {
+    updater = std::make_unique<SnsRndPlusUpdater>(kTheta, clip_bound, seed);
+  } else {
+    updater = std::make_unique<SnsRndUpdater>(kTheta, seed);
+  }
+  PerCellRndReference reference(kTheta, clip_bound, seed);
+  updater->set_kernel_tier(tier);
+  reference.set_kernel_tier(tier);
+
+  SparseTensor window(dims);
+  auto random_tuple = [&] {
+    ModeIndex index;
+    for (int m = 0; m + 1 < modes; ++m) {
+      index.PushBack(static_cast<int32_t>(rng.UniformInt(0, dims[m] - 1)));
+    }
+    return index;
+  };
+  // Pre-fill so that most slices are heavier than θ.
+  for (int i = 0; i < 40; ++i) {
+    window.Add(random_tuple().WithAppended(static_cast<int32_t>(
+                   rng.UniformInt(0, w_size - 1))),
+               rng.UniformDouble(0.5, 2.0));
+  }
+  for (int step = 0; step < 60; ++step) {
+    const ModeIndex tuple = random_tuple();
+    const double v = rng.UniformDouble(0.5, 2.0);
+    const int w = static_cast<int>(rng.UniformInt(0, w_size - 1));
+    WindowDelta delta;
+    delta.kind = w == 0 ? EventKind::kArrival : EventKind::kSlide;
+    delta.w = w;
+    delta.tuple = Tuple{{}, v, 0};
+    for (int m = 0; m + 1 < modes; ++m) delta.tuple.index.PushBack(tuple[m]);
+    if (w > 0) {
+      const ModeIndex from = tuple.WithAppended(w_size - w);
+      window.Add(from, -v);
+      delta.cells.push_back({from, -v});
+    }
+    const ModeIndex to = tuple.WithAppended(w_size - w - 1);
+    window.Add(to, v);
+    delta.cells.push_back({to, v});
+
+    updater->OnEvent(window, delta, real);
+    reference.OnEvent(window, delta, ref);
+    for (int m = 0; m < modes; ++m) {
+      ASSERT_TRUE(BitwiseEqual(real.model.factor(m), ref.model.factor(m)))
+          << "step " << step << " mode " << m;
+      ASSERT_TRUE(BitwiseEqual(real.grams[static_cast<size_t>(m)],
+                               ref.grams[static_cast<size_t>(m)]))
+          << "step " << step << " mode " << m;
+    }
+    ASSERT_TRUE(updater->MutableRng()->SaveState() ==
+                reference.MutableRng()->SaveState())
+        << "step " << step;
+  }
+}
+
+TEST(SampledKernelDifferentialTest, BitwiseEqualToPerCellLoopOnEveryTier) {
+  int tiers_run = 0;
+  for (const KernelTier tier :
+       {KernelTier::kGeneric, KernelTier::kAvx2, KernelTier::kAvx512}) {
+    if (!KernelTierCompiledIn(tier) || !KernelTierSupported(tier)) continue;
+    ++tiers_run;
+    for (const FactorPrecision precision :
+         {FactorPrecision::kFloat64, FactorPrecision::kFloat32Accum64}) {
+      for (const double clip_bound : {0.0, 50.0}) {
+        SCOPED_TRACE(::testing::Message()
+                     << KernelTierName(tier) << " "
+                     << FactorPrecisionName(precision)
+                     << (clip_bound > 0.0 ? " SNS+RND" : " SNS-RND"));
+        // 3-mode (fused fma3 path) at padded ranks 8 and 20, and 4-mode
+        // (Hadamard row + axpy path).
+        ExpectSampledKernelMatchesPerCellLoop(clip_bound, {7, 6, 4}, 5, tier,
+                                              precision, 0x5a1);
+        ExpectSampledKernelMatchesPerCellLoop(clip_bound, {7, 6, 4}, 20, tier,
+                                              precision, 0x5a2);
+        ExpectSampledKernelMatchesPerCellLoop(clip_bound, {5, 4, 3, 3}, 6,
+                                              tier, precision, 0x5a3);
+      }
+    }
+  }
+  EXPECT_GE(tiers_run, 1);
 }
 
 }  // namespace

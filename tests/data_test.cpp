@@ -10,6 +10,7 @@
 #include "data/datasets.h"
 #include "data/loader.h"
 #include "data/synthetic.h"
+#include "test_scratch_dir.h"
 
 namespace sns {
 namespace {
@@ -181,7 +182,7 @@ TEST(LoaderTest, RoundTripsStream) {
   auto stream = GenerateSyntheticStream(config);
   ASSERT_TRUE(stream.ok());
 
-  const std::string path = ::testing::TempDir() + "/sns_stream.csv";
+  const std::string path = TestScratchDir() + "/sns_stream.csv";
   std::remove(path.c_str());
   ASSERT_TRUE(SaveStreamCsv(stream.value(), path).ok());
   auto loaded = LoadStreamCsv(path, {20, 15});
@@ -198,7 +199,7 @@ TEST(LoaderTest, RoundTripsStream) {
 }
 
 TEST(LoaderTest, RejectsMalformedRows) {
-  const std::string path = ::testing::TempDir() + "/sns_bad_stream.csv";
+  const std::string path = TestScratchDir() + "/sns_bad_stream.csv";
   std::remove(path.c_str());
   ASSERT_TRUE(WriteDelimitedFile(path, ',', {{"1", "2", "1.0"}}).ok());
   EXPECT_FALSE(LoadStreamCsv(path, {5, 5}).ok());  // Missing timestamp field.

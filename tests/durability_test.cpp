@@ -21,6 +21,7 @@
 
 #include "slicenstitch.h"
 #include "tensor/sparse_tensor.h"
+#include "test_scratch_dir.h"
 
 namespace sns {
 namespace {
@@ -71,7 +72,7 @@ SnsService MakeService(int shards) {
 
 /// Fresh scratch directory (removed if a previous run left it behind).
 std::string FreshDir(const std::string& tag) {
-  const std::string dir = ::testing::TempDir() + "/sns_durability_" + tag;
+  const std::string dir = TestScratchDir() + "/sns_durability_" + tag;
   fs::remove_all(dir);
   return dir;
 }

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "slicenstitch.h"
+#include "test_scratch_dir.h"
 
 namespace sns {
 namespace {
@@ -60,7 +61,7 @@ SnsService MakeService(int shards) {
 }
 
 std::string FreshDir(const std::string& tag) {
-  const std::string dir = ::testing::TempDir() + "/sns_loss_durability_" + tag;
+  const std::string dir = TestScratchDir() + "/sns_loss_durability_" + tag;
   fs::remove_all(dir);
   return dir;
 }

@@ -1,11 +1,14 @@
 // Tests for the slice-grid sampler used by SNS-RND / SNS+RND.
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/slice_sampler.h"
+#include "reference_slice_sampler.h"
 
 namespace sns {
 namespace {
@@ -100,6 +103,146 @@ TEST(SliceSamplerTest, SamplesIncludeZeroCells) {
     if (cell.value == 0.0) ++zero_cells;
   }
   EXPECT_GE(zero_cells, 39);
+}
+
+// ---------------------------------------------------------------------------
+// Differential pins: the two-phase sampler against the single-phase
+// reference (reference_slice_sampler.h). Cells, values, RNG state and the
+// window's probe count must match after every call.
+
+// A window of `dims` with about `fill` of its cells non-zero.
+SparseTensor RandomWindow(std::vector<int64_t> dims, double fill,
+                          uint64_t seed, int64_t max_cells = 4000) {
+  SparseTensor window(dims);
+  Rng rng(seed);
+  double grid = 1.0;
+  for (int64_t d : dims) grid *= static_cast<double>(d);
+  const int64_t cells = static_cast<int64_t>(
+      std::min(grid * fill, static_cast<double>(max_cells)));
+  for (int64_t i = 0; i < cells; ++i) {
+    ModeIndex index;
+    for (int64_t d : dims) {
+      index.PushBack(static_cast<int32_t>(rng.UniformInt(0, d - 1)));
+    }
+    window.Add(index, rng.UniformDouble(0.5, 2.0));
+  }
+  return window;
+}
+
+// Runs `calls` sampler calls per row of `mode` and compares every output
+// with the reference run from an identically seeded generator.
+void ExpectMatchesReference(const SparseTensor& window, int mode,
+                            int64_t count, const WindowDelta& delta,
+                            uint64_t seed, int calls = 3) {
+  Rng rng(seed);
+  Rng ref_rng(seed);
+  std::vector<SampledCell> out;
+  SliceSamplerScratch scratch;
+  for (int64_t row = 0; row < window.dim(mode); ++row) {
+    for (int call = 0; call < calls; ++call) {
+      const uint64_t probes_before = window.hash_lookup_count();
+      SampleSliceCellsInto(window, mode, row, count, delta, rng, out, scratch);
+      const uint64_t probes = window.hash_lookup_count() - probes_before;
+      const std::vector<SampledCell> expected =
+          ReferenceSampleSliceCells(window, mode, row, count, delta, ref_rng);
+      const uint64_t ref_probes =
+          window.hash_lookup_count() - probes_before - probes;
+      SCOPED_TRACE(::testing::Message() << "mode " << mode << " row " << row
+                                        << " call " << call);
+      ASSERT_EQ(out.size(), expected.size());
+      for (size_t i = 0; i < out.size(); ++i) {
+        ASSERT_TRUE(out[i].index == expected[i].index)
+            << i << ": " << out[i].index.ToString() << " vs "
+            << expected[i].index.ToString();
+        ASSERT_EQ(out[i].value, expected[i].value) << i;
+      }
+      ASSERT_TRUE(rng.SaveState() == ref_rng.SaveState());
+      ASSERT_EQ(probes, ref_probes);
+      ASSERT_EQ(probes, out.size());
+    }
+  }
+}
+
+// A delta with one cell on `row` of `mode` and one on the next row.
+WindowDelta MixedDelta(const SparseTensor& window, int mode, int64_t row) {
+  ModeIndex on;
+  ModeIndex off;
+  for (int n = 0; n < window.num_modes(); ++n) {
+    on.PushBack(static_cast<int32_t>(window.dim(n) / 2));
+    off.PushBack(static_cast<int32_t>(window.dim(n) / 2));
+  }
+  on[mode] = static_cast<int32_t>(row);
+  off[mode] = static_cast<int32_t>((row + 1) % window.dim(mode));
+  return DeltaWithCells({on, off});
+}
+
+TEST(SliceSamplerDifferentialTest, ThreeModeMatchesReference) {
+  const SparseTensor window = RandomWindow({30, 40, 10}, 0.2, 11);
+  for (int mode = 0; mode < 3; ++mode) {
+    ExpectMatchesReference(window, mode, 20, WindowDelta{}, 100 + mode);
+    ExpectMatchesReference(window, mode, 20, MixedDelta(window, mode, 3),
+                           200 + mode);
+  }
+}
+
+TEST(SliceSamplerDifferentialTest, FourAndFiveModeMatchReference) {
+  const SparseTensor four = RandomWindow({12, 9, 8, 5}, 0.3, 12);
+  const SparseTensor five = RandomWindow({7, 6, 5, 4, 3}, 0.3, 13);
+  for (int mode = 0; mode < 4; ++mode) {
+    ExpectMatchesReference(four, mode, 20, MixedDelta(four, mode, 1),
+                           300 + mode);
+  }
+  for (int mode = 0; mode < 5; ++mode) {
+    ExpectMatchesReference(five, mode, 20, MixedDelta(five, mode, 2),
+                           400 + mode);
+  }
+}
+
+TEST(SliceSamplerDifferentialTest, DeltaCellsOnTheSliceAreRejected) {
+  // Slice grid of 5×5 = 25 cells, θ = 20: rejection sampling (not
+  // enumeration) keeps drawing the two on-slice delta cells and duplicates.
+  const SparseTensor window = RandomWindow({4, 5, 5}, 0.5, 14);
+  ModeIndex a{2, 1, 1};
+  ModeIndex b{2, 3, 4};
+  const WindowDelta delta = DeltaWithCells({a, b});
+  ExpectMatchesReference(window, 0, 20, delta, 500, /*calls=*/10);
+  Rng rng(501);
+  std::vector<SampledCell> out;
+  SliceSamplerScratch scratch;
+  for (int call = 0; call < 50; ++call) {
+    SampleSliceCellsInto(window, 0, 2, 20, delta, rng, out, scratch);
+    for (const SampledCell& cell : out) {
+      EXPECT_FALSE(cell.index == a);
+      EXPECT_FALSE(cell.index == b);
+    }
+  }
+}
+
+TEST(SliceSamplerDifferentialTest, TinySliceEnumerationMatchesReference) {
+  // Slice grids of 3×2 = 6 cells: enumerated whether or not delta cells
+  // sit on the slice.
+  const SparseTensor window = RandomWindow({5, 3, 2}, 0.6, 15);
+  ExpectMatchesReference(window, 0, 10, WindowDelta{}, 600);
+  ExpectMatchesReference(window, 0, 4, MixedDelta(window, 0, 1), 601);
+}
+
+TEST(SliceSamplerDifferentialTest, LargeThetaMatchesReference) {
+  const SparseTensor window = RandomWindow({8, 60, 50}, 0.1, 16);
+  ExpectMatchesReference(window, 0, 500, MixedDelta(window, 0, 4), 700,
+                         /*calls=*/1);
+}
+
+TEST(SliceSamplerDifferentialTest, GridBeyondSixtyFourBitsFallsBack) {
+  // 600^7 ≈ 2.8e19 > 2^64 slice cells: no packed offset exists, so the
+  // sampler compares ModeIndex values. 550^7 ≈ 1.5e19 still fits. (Draws
+  // on grids this large never repeat a cell, so this pins cells, values and
+  // draws, not the rejections.)
+  for (const int64_t extent : {600, 550}) {
+    std::vector<int64_t> dims(8, extent);
+    dims[0] = 3;
+    const SparseTensor window = RandomWindow(dims, 1.0, 17, /*max_cells=*/300);
+    ExpectMatchesReference(window, 0, 20, MixedDelta(window, 0, 1), 800);
+  }
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 
 #include "runtime/mailbox.h"
 #include "slicenstitch.h"
+#include "test_scratch_dir.h"
 
 namespace sns {
 namespace {
@@ -483,7 +484,7 @@ TEST(ServiceTelemetryTest, RejectedPushesAreCounted) {
 TEST(ServiceTelemetryTest, JournalAndCheckpointCountersTally) {
   const ContinuousCpdOptions options = SmallEngineOptions();
   namespace fs = std::filesystem;
-  const std::string dir = ::testing::TempDir() + "/sns_telemetry_journal";
+  const std::string dir = TestScratchDir() + "/sns_telemetry_journal";
   fs::remove_all(dir);
   fs::create_directories(dir);
 
@@ -536,7 +537,7 @@ TEST(ServiceTelemetryTest, PeriodicExporterFiresOnMetricsAndWritesJson) {
   const ContinuousCpdOptions options = SmallEngineOptions();
   namespace fs = std::filesystem;
   const std::string json_path =
-      ::testing::TempDir() + "/sns_telemetry_export.jsonl";
+      TestScratchDir() + "/sns_telemetry_export.jsonl";
   fs::remove(json_path);
 
   ServiceOptions runtime;
